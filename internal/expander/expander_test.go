@@ -2,8 +2,10 @@ package expander
 
 import (
 	"os"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDegreeOneIsHomeOnly(t *testing.T) {
@@ -301,5 +303,59 @@ func TestStoreRecoversFromCorruptFile(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreGetDoesNotWaitForOtherKeys holds one configuration's
+// generation open and checks that a Get for another configuration still
+// completes.
+func TestStoreGetDoesNotWaitForOtherKeys(t *testing.T) {
+	s := NewStore("")
+	slow := Params{Appranks: 16, Nodes: 8, Degree: 2, Seed: 1}
+	blocked := &storeEntry{}
+	s.mem[key(slow)] = blocked
+	started, release := make(chan struct{}), make(chan struct{})
+	go blocked.once.Do(func() { close(started); <-release })
+	<-started
+	defer close(release)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Get(Params{Appranks: 8, Nodes: 4, Degree: 2, Seed: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Get waited behind another configuration's generation")
+	}
+}
+
+// TestStoreConcurrentGetsShareOneGraph checks that concurrent callers of
+// one configuration all receive the single cached graph.
+func TestStoreConcurrentGetsShareOneGraph(t *testing.T) {
+	s := NewStore("")
+	ps := []Params{{Appranks: 8, Nodes: 4, Degree: 2, Seed: 1}, {Appranks: 8, Nodes: 4, Degree: 3, Seed: 1}}
+	got := make([]*Graph, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := s.Get(ps[i%len(ps)])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = g
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[i%len(ps)] {
+			t.Fatalf("caller %d got a different graph than caller %d", i, i%len(ps))
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"ompsscluster/internal/cluster"
 	"ompsscluster/internal/core"
 	"ompsscluster/internal/expander"
+	"ompsscluster/internal/nbody"
 	"ompsscluster/internal/simtime"
 	"ompsscluster/internal/workloads/synthetic"
 )
@@ -211,11 +212,12 @@ func AblationORBWeights(sc Scale) *Result {
 	}
 	counts := &Series{Label: "count weights (paper)"}
 	times := &Series{Label: "time weights (counterfactual)"}
+	traj := nbody.NewTrajectories()
 	runAll(sc, []runSpec{
-		{counts, 0, func() float64 { return nbodyRun(sc, nodes, 1, false, core.DROMOff, true, false).Seconds() }},
-		{counts, 1, func() float64 { return nbodyRun(sc, nodes, 3, true, core.DROMGlobal, true, false).Seconds() }},
-		{times, 0, func() float64 { return nbodyRun(sc, nodes, 1, false, core.DROMOff, true, true).Seconds() }},
-		{times, 1, func() float64 { return nbodyRun(sc, nodes, 3, true, core.DROMGlobal, true, true).Seconds() }},
+		{counts, 0, func() float64 { return nbodyRun(sc, traj, nodes, 1, false, core.DROMOff, true, false).Seconds() }},
+		{counts, 1, func() float64 { return nbodyRun(sc, traj, nodes, 3, true, core.DROMGlobal, true, false).Seconds() }},
+		{times, 0, func() float64 { return nbodyRun(sc, traj, nodes, 1, false, core.DROMOff, true, true).Seconds() }},
+		{times, 1, func() float64 { return nbodyRun(sc, traj, nodes, 3, true, core.DROMGlobal, true, true).Seconds() }},
 	})
 	res.Series = append(res.Series, *counts, *times)
 	res.Notes = append(res.Notes,

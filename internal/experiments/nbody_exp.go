@@ -40,8 +40,16 @@ func submitSynthTasks(app *core.App, regions []nanos.Region, n int, work simtime
 // nbodyRun executes one n-body configuration on a Nord3-like machine
 // (node 0 at 1.8/3.0 GHz relative speed) and returns the steady
 // per-timestep time. timeWeights switches ORB to time-based weights (the
-// counterfactual ablation; the paper's ORB balances counts).
-func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, timeWeights bool) simtime.Duration {
+// counterfactual ablation; the paper's ORB balances counts). traj is the
+// calling figure's trajectory memo: its runs share the physics of each
+// node count.
+func nbodyRun(sc Scale, traj *nbody.Trajectories, nodes, degree int, lewi bool, drom core.DROMMode, slow, timeWeights bool) simtime.Duration {
+	return steadyStep(nbodyStepEnds(sc, traj, nodes, degree, lewi, drom, slow, timeWeights))
+}
+
+// nbodyStepEnds runs nbodyRun's configuration and returns the completion
+// time of every step.
+func nbodyStepEnds(sc Scale, traj *nbody.Trajectories, nodes, degree int, lewi bool, drom core.DROMMode, slow, timeWeights bool) []simtime.Time {
 	const rpn = 2
 	m := cluster.New(nodes, sc.CoresPerNode, cluster.DefaultNet())
 	if slow {
@@ -58,6 +66,7 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 		DT:                 0.02,
 		TimeWeights:        timeWeights,
 		Seed:               sc.Seed,
+		Trajectories:       traj,
 	})
 	rt := core.MustNew(core.Config{
 		Machine:         m,
@@ -79,8 +88,7 @@ func nbodyRun(sc Scale, nodes, degree int, lewi bool, drom core.DROMMode, slow, 
 	if err := rt.Run(cs.Main()); err != nil {
 		panic(fmt.Sprintf("experiments: n-body run failed: %v", err))
 	}
-	ends := cs.StepEnds()
-	return steadyStep(ends)
+	return cs.StepEnds()
 }
 
 // costPerInteraction scales interaction counts into task time so that a
@@ -130,23 +138,24 @@ func Fig6c(sc Scale) *Result {
 	dlbOnly := &Series{Label: "dlb (degree 1)"}
 	deg2 := &Series{Label: "degree 2"}
 	deg3 := &Series{Label: "degree 3"}
+	traj := nbody.NewTrajectories()
 	var specs []runSpec
 	for _, n := range nodeSweep(sc, 2, 4, 8, 16) {
 		x := float64(n)
 		specs = append(specs, runSpec{baseline, x, func() float64 {
-			return nbodyRun(sc, n, 1, false, core.DROMOff, true, false).Seconds()
+			return nbodyRun(sc, traj, n, 1, false, core.DROMOff, true, false).Seconds()
 		}})
 		specs = append(specs, runSpec{dlbOnly, x, func() float64 {
-			return nbodyRun(sc, n, 1, true, core.DROMLocal, true, false).Seconds()
+			return nbodyRun(sc, traj, n, 1, true, core.DROMLocal, true, false).Seconds()
 		}})
 		if 2*2 <= sc.CoresPerNode {
 			specs = append(specs, runSpec{deg2, x, func() float64 {
-				return nbodyRun(sc, n, 2, true, core.DROMGlobal, true, false).Seconds()
+				return nbodyRun(sc, traj, n, 2, true, core.DROMGlobal, true, false).Seconds()
 			}})
 		}
 		if n >= 3 && 3*2 <= sc.CoresPerNode {
 			specs = append(specs, runSpec{deg3, x, func() float64 {
-				return nbodyRun(sc, n, 3, true, core.DROMGlobal, true, false).Seconds()
+				return nbodyRun(sc, traj, n, 3, true, core.DROMGlobal, true, false).Seconds()
 			}})
 		}
 	}
