@@ -31,3 +31,15 @@ func BenchmarkSpectralGap(b *testing.B) {
 		g.SpectralGap()
 	}
 }
+
+// BenchmarkGenerateSmall measures the scored hill-climb search on the
+// 16-apprank, 8-node graphs fig6c uses.
+func BenchmarkGenerateSmall(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, d := range []int{2, 3} {
+			if _, err := Generate(Params{Appranks: 16, Nodes: 8, Degree: d, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -140,52 +140,41 @@ func (t *Octree) ForceOn(i int) (Vec3, int) {
 	if t.root == nil {
 		return Vec3{}, 0
 	}
-	return t.force(t.root, i)
+	return t.force(t.root, i, t.sys.Bodies[i].Pos)
 }
 
-func (t *Octree) force(c *cell, i int) (Vec3, int) {
-	s := t.sys
-	if c.nbodies == 0 {
+func (t *Octree) force(c *cell, i int, pos Vec3) (Vec3, int) {
+	if c.nbodies == 0 || (c.body == i && c.nbodies == 1) {
 		return Vec3{}, 0
 	}
-	if c.body == i && c.nbodies == 1 {
-		return Vec3{}, 0
-	}
-	pos := s.Bodies[i].Pos
 	d := c.com.Sub(pos)
-	dist := d.Norm()
-	// Leaf with a single body, multi-body degenerate leaf, or a cell far
-	// enough away per the theta criterion: one interaction.
-	open := c.children != nil && (dist == 0 || 2*c.half/dist >= s.Theta)
-	if !open {
-		if c.body == i {
+	dd := d.Dot(d)
+	// A cell near enough per the theta criterion is opened; a leaf with
+	// a single body, a multi-body degenerate leaf, or a far cell is one
+	// interaction.
+	if c.children != nil && (dd == 0 || 2*c.half/math.Sqrt(dd) >= t.sys.Theta) {
+		var a Vec3
+		count := 0
+		for _, ch := range c.children {
+			if ch == nil {
+				continue
+			}
+			fa, n := t.force(ch, i, pos)
+			a = a.Add(fa)
+			count += n
+		}
+		return a, count
+	}
+	m := c.mass
+	// Exclude self-contribution from a degenerate leaf that contains
+	// body i.
+	if c.children == nil && c.body == -1 && t.containsBody(c, pos) {
+		m -= t.sys.Bodies[i].Mass
+		if m <= 0 {
 			return Vec3{}, 0
 		}
-		m := c.mass
-		q := c.com
-		if c.nbodies == 1 || (c.children == nil && c.body == -1) {
-			// Exclude self-contribution from a degenerate leaf that
-			// contains body i.
-			if c.children == nil && c.body == -1 && t.containsBody(c, pos) {
-				m -= s.Bodies[i].Mass
-				if m <= 0 {
-					return Vec3{}, 0
-				}
-			}
-		}
-		return s.accel(pos, m, q), 1
 	}
-	var a Vec3
-	count := 0
-	for _, ch := range c.children {
-		if ch == nil {
-			continue
-		}
-		fa, n := t.force(ch, i)
-		a = a.Add(fa)
-		count += n
-	}
-	return a, count
+	return t.sys.pull(d, dd, m), 1
 }
 
 // containsBody reports whether the position lies within the cell bounds
