@@ -11,8 +11,9 @@
 //
 // Jobs must not share mutable state: everything a run touches (machine
 // model, recorder, task graphs, RNGs) must be built inside the job. The
-// one sanctioned shared structure is expander.Store, which is safe for
-// concurrent use.
+// sanctioned shared structures are expander.Store and nbody.Trajectories,
+// which are safe for concurrent use and compute each entry once,
+// whichever job asks first, from its key alone.
 //
 // A Hook attaches two service-layer concerns without touching the
 // output contract: a per-job completion callback (the checkpointer of
