@@ -239,6 +239,41 @@ func TestRunnerTimeoutCancelAndDrain(t *testing.T) {
 	}
 }
 
+// TestRunnerCancelBeforeAttemptStarts covers a cancel or drain landing
+// after a job is claimed, so it already shows Running, but before its
+// attempt has a context: the cause must be kept and applied when the
+// attempt starts, not lost (which left a drain waiting forever).
+func TestRunnerCancelBeforeAttemptStarts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cancel func(r *Runner, id string) bool
+		want   State
+	}{
+		{"cancel", func(r *Runner, id string) bool { return r.Cancel(id) }, Canceled},
+		{"drain", func(r *Runner, id string) bool { r.cancelCurrent(errDraining); return true }, Pending},
+	} {
+		r, q, _, _ := newTestRunner(t)
+		r.runFn = func(spec Spec, sc experiments.Scale) (*experiments.Result, error) {
+			<-sc.Jobs.Ctx.Done()
+			return &experiments.Result{ID: "blocked"}, nil
+		}
+		submit(t, q, r, Spec{Experiment: "fig8", Scale: "quick"})
+		// The claim half of the runner loop, without starting it.
+		job, ok := q.ClaimNext()
+		if !ok {
+			t.Fatal("nothing to claim")
+		}
+		r.curID = job.ID
+		if !tc.cancel(r, job.ID) {
+			t.Fatalf("%s: refused the claimed job", tc.name)
+		}
+		r.process(job)
+		if j, _ := q.Get(job.ID); j.State != tc.want {
+			t.Fatalf("%s: job = %+v, want %s", tc.name, j, tc.want)
+		}
+	}
+}
+
 // quickScale returns the experiment scale the real-figure tests run at.
 func quickScale() experiments.Scale {
 	sc, _ := experiments.ScaleByName("quick")

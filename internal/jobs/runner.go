@@ -58,9 +58,14 @@ type Runner struct {
 	// runFn computes a spec's figure; tests substitute failure modes.
 	runFn func(spec Spec, sc experiments.Scale) (*experiments.Result, error)
 
+	// mu guards the claimed job's cancellation. A job is Running from
+	// its claim, but an attempt's context exists only inside runOnce; a
+	// cancel or drain arriving before that is kept in curCause and
+	// applied when the attempt starts.
 	mu        sync.Mutex
-	curID     string
-	curCancel context.CancelCauseFunc
+	curID     string                  // claimed job, until process returns
+	curCancel context.CancelCauseFunc // running attempt, or nil
+	curCause  error                   // cancel cause awaiting an attempt
 
 	wake chan struct{}
 	stop chan struct{}
@@ -128,8 +133,8 @@ func (r *Runner) Drain() {
 // state. Returns false for unknown or already-finished jobs.
 func (r *Runner) Cancel(id string) bool {
 	r.mu.Lock()
-	if r.curID == id && r.curCancel != nil {
-		r.curCancel(errCanceled)
+	if r.curID == id {
+		r.cancelLocked(errCanceled)
 		r.mu.Unlock()
 		return true
 	}
@@ -140,8 +145,18 @@ func (r *Runner) Cancel(id string) bool {
 func (r *Runner) cancelCurrent(cause error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.curID != "" {
+		r.cancelLocked(cause)
+	}
+}
+
+// cancelLocked cancels the claimed job's attempt, or records the cause
+// for its next attempt. Callers hold r.mu.
+func (r *Runner) cancelLocked(cause error) {
 	if r.curCancel != nil {
 		r.curCancel(cause)
+	} else {
+		r.curCause = cause
 	}
 }
 
@@ -160,7 +175,12 @@ func (r *Runner) loop() {
 		if r.stopping() {
 			return
 		}
+		r.mu.Lock()
 		job, ok := r.queue.ClaimNext()
+		if ok {
+			r.curID, r.curCause = job.ID, nil
+		}
+		r.mu.Unlock()
 		if !ok {
 			select {
 			case <-r.wake:
@@ -170,6 +190,9 @@ func (r *Runner) loop() {
 			continue
 		}
 		r.process(job)
+		r.mu.Lock()
+		r.curID = ""
+		r.mu.Unlock()
 	}
 }
 
@@ -285,11 +308,14 @@ func (r *Runner) runOnce(job Job, ckpt *Checkpointer) (res *experiments.Result, 
 		ctx = tctx
 	}
 	r.mu.Lock()
-	r.curID, r.curCancel = job.ID, cancel
+	r.curCancel = cancel
+	if r.curCause != nil {
+		cancel(r.curCause)
+	}
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		r.curID, r.curCancel = "", nil
+		r.curCancel = nil
 		r.mu.Unlock()
 		cancel(nil)
 		if v := recover(); v != nil {
